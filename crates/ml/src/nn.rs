@@ -321,8 +321,8 @@ mod tests {
     #[test]
     fn rejects_nonfinite() {
         let x = Matrix::from_rows(vec![vec![f64::NAN], vec![1.0]]).unwrap();
-        // NaN became... Matrix doesn't normalize; check_training passes but
-        // is_finite() fails.
+        // `Matrix` keeps the NaN as given and `check_training` only looks at
+        // shape and labels, so the rejection must come from `is_finite()`.
         let mut mlp = MlpClassifier::default_params(0);
         assert!(matches!(mlp.fit(&x, &[0, 1]), Err(MlError::NonFinite(_))));
     }
