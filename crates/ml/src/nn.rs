@@ -1,5 +1,12 @@
 //! The paper's "DNN": a two-hidden-layer (100×100) ReLU MLP with a sigmoid
 //! output, trained with Adam on mini-batches of binary cross-entropy.
+//!
+//! Training and prediction are batch-major: a mini-batch (or a 64-row
+//! prediction block) is held feature-major, one row per unit and one column
+//! per sample, and every forward, backward and gradient product is a call
+//! to one matrix kernel, [`gemm`]. The kernel adds the terms of each output
+//! in the same order a per-sample scalar loop would, so the fitted weights
+//! and the predictions are bit-identical to that loop's.
 
 use smartfeat_rng::Rng;
 
@@ -7,6 +14,9 @@ use crate::error::{MlError, Result};
 use crate::logistic::sigmoid;
 use crate::matrix::Matrix;
 use crate::model::Classifier;
+
+/// Rows per block in `predict_proba`.
+const PREDICT_BLOCK: usize = 64;
 
 /// One dense layer's parameters and Adam state.
 #[derive(Debug, Clone)]
@@ -41,19 +51,99 @@ impl Dense {
         }
     }
 
-    /// `out = W·x + b`.
-    fn forward(&self, x: &[f64], out: &mut [f64]) {
-        debug_assert_eq!(x.len(), self.n_in);
-        debug_assert_eq!(out.len(), self.n_out);
-        for (o, (w_row, b)) in out
-            .iter_mut()
-            .zip(self.w.chunks_exact(self.n_in).zip(&self.b))
-        {
-            let mut acc = *b;
-            for (w, v) in w_row.iter().zip(x) {
-                acc += w * v;
+    /// `z = W·x + b` for a batch of `nb` samples: `x` is `n_in × nb` and
+    /// `z` is `n_out × nb`, both feature-major.
+    fn forward(&self, x: &[f64], nb: usize, z: &mut [f64], panel: &mut Vec<f64>) {
+        for (row, &b) in z.chunks_exact_mut(nb).zip(&self.b) {
+            row.fill(b);
+        }
+        gemm(z, &self.w, x, self.n_out, self.n_in, nb, panel);
+    }
+}
+
+/// `c[m×n] += a[m×p]·b[p×n]`, all row-major.
+///
+/// Accumulation-order contract: each `c[i][j]` starts from its value on
+/// entry and adds `a[i][k] * b[k][j]` for `k = 0, 1, …, p-1` in that
+/// order, one rounded multiply and one rounded add per term — exactly the
+/// scalar loop `for k in 0..p { c += a[i][k] * b[k][j] }`. So the result
+/// is bit-identical to that loop, whatever the shape.
+///
+/// Speed comes from reuse, not reordering: four rows of `a` are packed
+/// k-major into `panel` (zero-padded past `m`), and each 4×4 tile of `c`
+/// stays in registers for the whole `k` loop, loading one 4-wide panel
+/// slice and one 4-wide row slice of `b` per step.
+fn gemm(c: &mut [f64], a: &[f64], b: &[f64], m: usize, p: usize, n: usize, panel: &mut Vec<f64>) {
+    debug_assert_eq!(c.len(), m * n);
+    debug_assert_eq!(a.len(), m * p);
+    debug_assert_eq!(b.len(), p * n);
+    if n == 0 {
+        return;
+    }
+    panel.resize(4 * p, 0.0);
+    for i0 in (0..m).step_by(4) {
+        let mr = (m - i0).min(4);
+        for (k, slot) in panel.chunks_exact_mut(4).enumerate() {
+            for (r, v) in slot.iter_mut().enumerate() {
+                *v = if r < mr { a[(i0 + r) * p + k] } else { 0.0 };
             }
-            *o = acc;
+        }
+        let c_rows = &mut c[i0 * n..(i0 + mr) * n];
+        let mut j0 = 0;
+        while j0 + 4 <= n {
+            let mut acc = [[0.0f64; 4]; 4];
+            for (acc_r, c_row) in acc.iter_mut().zip(c_rows.chunks_exact(n)) {
+                acc_r.copy_from_slice(&c_row[j0..j0 + 4]);
+            }
+            for (ak, b_row) in panel.chunks_exact(4).zip(b.chunks_exact(n)) {
+                let bk = &b_row[j0..j0 + 4];
+                for (acc_r, &av) in acc.iter_mut().zip(ak) {
+                    for (cv, &bv) in acc_r.iter_mut().zip(bk) {
+                        *cv += av * bv;
+                    }
+                }
+            }
+            for (acc_r, c_row) in acc.iter().zip(c_rows.chunks_exact_mut(n)) {
+                c_row[j0..j0 + 4].copy_from_slice(acc_r);
+            }
+            j0 += 4;
+        }
+        // Column remainder: one column of the tile at a time.
+        for j in j0..n {
+            let mut acc = [0.0f64; 4];
+            for (cv, c_row) in acc.iter_mut().zip(c_rows.chunks_exact(n)) {
+                *cv = c_row[j];
+            }
+            for (ak, b_row) in panel.chunks_exact(4).zip(b.chunks_exact(n)) {
+                let bv = b_row[j];
+                for (cv, &av) in acc.iter_mut().zip(ak) {
+                    *cv += av * bv;
+                }
+            }
+            for (&cv, c_row) in acc.iter().zip(c_rows.chunks_exact_mut(n)) {
+                c_row[j] = cv;
+            }
+        }
+    }
+}
+
+/// `out = srcᵀ`: `src` is `rows × cols`, `out` becomes `cols × rows`.
+fn transpose(src: &[f64], rows: usize, cols: usize, out: &mut Vec<f64>) {
+    out.resize(rows * cols, 0.0);
+    for i in 0..rows {
+        for j in 0..cols {
+            out[j * rows + i] = src[i * cols + j];
+        }
+    }
+}
+
+/// Gather `rows` of `x` feature-major: `out` becomes `x.cols() × rows.len()`.
+fn gather(x: &Matrix, rows: &[usize], out: &mut Vec<f64>) {
+    let nb = rows.len();
+    out.resize(x.cols() * nb, 0.0);
+    for (s, &r) in rows.iter().enumerate() {
+        for (i, &v) in x.row(r).iter().enumerate() {
+            out[i * nb + s] = v;
         }
     }
 }
@@ -101,6 +191,11 @@ impl MlpClassifier {
 
 impl Classifier for MlpClassifier {
     fn fit(&mut self, x: &Matrix, y: &[u8]) -> Result<()> {
+        if self.batch_size == 0 {
+            return Err(MlError::InvalidParameter(
+                "MLP batch_size must be at least 1".into(),
+            ));
+        }
         x.check_training(y)?;
         if !x.is_finite() {
             return Err(MlError::NonFinite("training features"));
@@ -120,13 +215,28 @@ impl Classifier for MlpClassifier {
             .collect();
 
         let n_layers = self.layers.len();
-        // Pre-activation and activation buffers per layer.
-        let mut zs: Vec<Vec<f64>> = sizes[1..].iter().map(|&s| vec![0.0; s]).collect();
-        let mut activations: Vec<Vec<f64>> = sizes[1..].iter().map(|&s| vec![0.0; s]).collect();
-        let mut deltas: Vec<Vec<f64>> = sizes[1..].iter().map(|&s| vec![0.0; s]).collect();
+        let last = n_layers - 1;
+        // Per-layer batch buffers, feature-major (units × batch): the
+        // pre-activations, activations and deltas.
+        let max_batch = self.batch_size.min(n);
+        let batch_bufs = || -> Vec<Vec<f64>> {
+            sizes[1..]
+                .iter()
+                .map(|&s| vec![0.0; s * max_batch])
+                .collect()
+        };
+        let mut zs = batch_bufs();
+        let mut activations = batch_bufs();
+        let mut deltas = batch_bufs();
         // Gradient accumulators per layer.
         let mut gw: Vec<Vec<f64>> = self.layers.iter().map(|l| vec![0.0; l.w.len()]).collect();
         let mut gb: Vec<Vec<f64>> = self.layers.iter().map(|l| vec![0.0; l.b.len()]).collect();
+        // Kernel scratch: the gathered input batch, the `a` panel, a
+        // transposed weight matrix and a transposed (batch-major) source.
+        let mut xb = Vec::new();
+        let mut panel = Vec::new();
+        let mut wt = Vec::new();
+        let mut src_t = Vec::new();
 
         let mut order: Vec<usize> = (0..n).collect();
         let (beta1, beta2, eps): (f64, f64, f64) = (0.9, 0.999, 1e-8);
@@ -141,53 +251,76 @@ impl Classifier for MlpClassifier {
                 if t >= self.max_updates {
                     break 'training;
                 }
-                for g in gw.iter_mut().chain(gb.iter_mut()) {
-                    g.iter_mut().for_each(|v| *v = 0.0);
+                let nb = batch.len();
+                gather(x, batch, &mut xb);
+                // Forward.
+                for (l, layer) in self.layers.iter().enumerate() {
+                    let src: &[f64] = if l == 0 {
+                        &xb
+                    } else {
+                        &activations[l - 1][..layer.n_in * nb]
+                    };
+                    let z = &mut zs[l][..layer.n_out * nb];
+                    layer.forward(src, nb, z, &mut panel);
+                    let act = &mut activations[l][..layer.n_out * nb];
+                    if l < last {
+                        for (a, &zv) in act.iter_mut().zip(z.iter()) {
+                            *a = zv.max(0.0); // ReLU
+                        }
+                    } else {
+                        for (a, &zv) in act.iter_mut().zip(z.iter()) {
+                            *a = sigmoid(zv);
+                        }
+                    }
                 }
-                for &sample in batch {
-                    let input = x.row(sample);
-                    // Forward.
-                    for l in 0..n_layers {
-                        let src: &[f64] = if l == 0 { input } else { &activations[l - 1] };
-                        // Split borrow: forward writes zs[l].
-                        self.layers[l].forward(src, &mut zs[l]);
-                        if l + 1 < n_layers {
-                            for (a, &z) in activations[l].iter_mut().zip(&zs[l]) {
-                                *a = z.max(0.0); // ReLU
-                            }
-                        } else {
-                            activations[l][0] = sigmoid(zs[l][0]);
-                        }
+                // Backward: BCE + sigmoid ⇒ delta = p - y; then
+                // delta_l = (W_{l+1}ᵀ · delta_{l+1}) masked by ReLU'.
+                for ((dv, &p), &sample) in
+                    deltas[last].iter_mut().zip(&activations[last]).zip(batch)
+                {
+                    *dv = p - f64::from(y[sample]);
+                }
+                for l in (0..last).rev() {
+                    let next = &self.layers[l + 1];
+                    transpose(&next.w, next.n_out, next.n_in, &mut wt);
+                    let (lower, upper) = deltas.split_at_mut(l + 1);
+                    let delta_here = &mut lower[l][..next.n_in * nb];
+                    delta_here.fill(0.0);
+                    gemm(
+                        delta_here,
+                        &wt,
+                        &upper[0][..next.n_out * nb],
+                        next.n_in,
+                        next.n_out,
+                        nb,
+                        &mut panel,
+                    );
+                    for (dh, &z) in delta_here.iter_mut().zip(&zs[l]) {
+                        *dh = if z > 0.0 { *dh } else { 0.0 };
                     }
-                    // Backward: BCE + sigmoid ⇒ delta = p - y.
-                    deltas[n_layers - 1][0] = activations[n_layers - 1][0] - f64::from(y[sample]);
-                    for l in (0..n_layers - 1).rev() {
-                        let (lower, upper) = deltas.split_at_mut(l + 1);
-                        let next = &self.layers[l + 1];
-                        let delta_next = &upper[0];
-                        let delta_here = &mut lower[l];
-                        for (j, dh) in delta_here.iter_mut().enumerate() {
-                            let mut acc = 0.0;
-                            for (k, dn) in delta_next.iter().enumerate() {
-                                acc += next.w[k * next.n_in + j] * dn;
-                            }
-                            *dh = if zs[l][j] > 0.0 { acc } else { 0.0 };
-                        }
-                    }
-                    // Accumulate gradients.
-                    for l in 0..n_layers {
-                        let src: &[f64] = if l == 0 { input } else { &activations[l - 1] };
-                        let layer = &self.layers[l];
-                        let g = &mut gw[l];
-                        for (k, &dk) in deltas[l].iter().enumerate() {
-                            let row = &mut g[k * layer.n_in..(k + 1) * layer.n_in];
-                            for (gv, &sv) in row.iter_mut().zip(src) {
-                                *gv += dk * sv;
-                            }
-                        }
-                        for (gbv, &dk) in gb[l].iter_mut().zip(&deltas[l]) {
-                            *gbv += dk;
-                        }
+                }
+                // Gradients, summed over the batch in sample order:
+                // gw_l = delta_l · srcᵀ.
+                for (l, layer) in self.layers.iter().enumerate() {
+                    let src: &[f64] = if l == 0 {
+                        &xb
+                    } else {
+                        &activations[l - 1][..layer.n_in * nb]
+                    };
+                    transpose(src, layer.n_in, nb, &mut src_t);
+                    let delta = &deltas[l][..layer.n_out * nb];
+                    gw[l].fill(0.0);
+                    gemm(
+                        &mut gw[l],
+                        delta,
+                        &src_t,
+                        layer.n_out,
+                        nb,
+                        layer.n_in,
+                        &mut panel,
+                    );
+                    for (g, row) in gb[l].iter_mut().zip(delta.chunks_exact(nb)) {
+                        *g = row.iter().fold(0.0, |acc, &dv| acc + dv);
                     }
                 }
                 // Adam update.
@@ -195,22 +328,23 @@ impl Classifier for MlpClassifier {
                 let inv_batch = 1.0 / batch.len() as f64;
                 let bc1 = 1.0 - beta1.powi(t as i32);
                 let bc2 = 1.0 - beta2.powi(t as i32);
-                for l in 0..n_layers {
-                    let layer = &mut self.layers[l];
-                    for (i, w) in layer.w.iter_mut().enumerate() {
-                        let g = gw[l][i] * inv_batch + self.weight_decay * *w;
-                        layer.mw[i] = beta1 * layer.mw[i] + (1.0 - beta1) * g;
-                        layer.vw[i] = beta2 * layer.vw[i] + (1.0 - beta2) * g * g;
-                        let mhat = layer.mw[i] / bc1;
-                        let vhat = layer.vw[i] / bc2;
+                for ((layer, gw_l), gb_l) in self.layers.iter_mut().zip(&gw).zip(&gb) {
+                    let params = layer.w.iter_mut().zip(&mut layer.mw).zip(&mut layer.vw);
+                    for (((w, m), v), &gsum) in params.zip(gw_l) {
+                        let g = gsum * inv_batch + self.weight_decay * *w;
+                        *m = beta1 * *m + (1.0 - beta1) * g;
+                        *v = beta2 * *v + (1.0 - beta2) * g * g;
+                        let mhat = *m / bc1;
+                        let vhat = *v / bc2;
                         *w -= self.learning_rate * mhat / (vhat.sqrt() + eps);
                     }
-                    for (i, b) in layer.b.iter_mut().enumerate() {
-                        let g = gb[l][i] * inv_batch;
-                        layer.mb[i] = beta1 * layer.mb[i] + (1.0 - beta1) * g;
-                        layer.vb[i] = beta2 * layer.vb[i] + (1.0 - beta2) * g * g;
-                        let mhat = layer.mb[i] / bc1;
-                        let vhat = layer.vb[i] / bc2;
+                    let params = layer.b.iter_mut().zip(&mut layer.mb).zip(&mut layer.vb);
+                    for (((b, m), v), &gsum) in params.zip(gb_l) {
+                        let g = gsum * inv_batch;
+                        *m = beta1 * *m + (1.0 - beta1) * g;
+                        *v = beta2 * *v + (1.0 - beta2) * g * g;
+                        let mhat = *m / bc1;
+                        let vhat = *v / bc2;
                         *b -= self.learning_rate * mhat / (vhat.sqrt() + eps);
                     }
                 }
@@ -231,22 +365,25 @@ impl Classifier for MlpClassifier {
             });
         }
         let mut out = Vec::with_capacity(x.rows());
-        let mut buf_a: Vec<f64> = Vec::new();
-        let mut buf_b: Vec<f64> = Vec::new();
-        for i in 0..x.rows() {
-            let mut src: &[f64] = x.row(i);
+        let rows: Vec<usize> = (0..x.rows()).collect();
+        let (mut src, mut dst, mut panel) = (Vec::new(), Vec::new(), Vec::new());
+        for block in rows.chunks(PREDICT_BLOCK) {
+            let nb = block.len();
+            gather(x, block, &mut src);
             for (l, layer) in self.layers.iter().enumerate() {
-                buf_b.resize(layer.n_out, 0.0);
-                layer.forward(src, &mut buf_b);
+                dst.resize(layer.n_out * nb, 0.0);
+                layer.forward(&src, nb, &mut dst, &mut panel);
                 if l + 1 < self.layers.len() {
-                    for v in buf_b.iter_mut() {
+                    for v in dst.iter_mut() {
                         *v = v.max(0.0);
                     }
                 }
-                std::mem::swap(&mut buf_a, &mut buf_b);
-                src = &buf_a;
+                std::mem::swap(&mut src, &mut dst);
             }
-            out.push(sigmoid(buf_a[0].clamp(-60.0, 60.0)).clamp(0.0, 1.0));
+            out.extend(
+                src.iter()
+                    .map(|&z| sigmoid(z.clamp(-60.0, 60.0)).clamp(0.0, 1.0)),
+            );
         }
         Ok(out)
     }
@@ -316,6 +453,47 @@ mod tests {
             .unwrap()
             .iter()
             .all(|p| (0.0..=1.0).contains(p)));
+    }
+
+    #[test]
+    fn zero_batch_size_is_rejected() {
+        let (x, y) = xor_data(20);
+        let mut mlp = MlpClassifier::default_params(0);
+        mlp.batch_size = 0;
+        assert!(matches!(mlp.fit(&x, &y), Err(MlError::InvalidParameter(_))));
+    }
+
+    #[test]
+    fn gemm_matches_the_scalar_loop_bit_for_bit() {
+        let mut rng = Rng::seed_from_u64(3);
+        let mut panel = Vec::new();
+        // Every remainder of m and n modulo the 4×4 tile, p = 0 included.
+        for (m, p, n) in [
+            (1, 3, 1),
+            (3, 5, 7),
+            (4, 4, 4),
+            (5, 0, 6),
+            (9, 13, 10),
+            (7, 64, 5),
+        ] {
+            let mut draw =
+                |len: usize| -> Vec<f64> { (0..len).map(|_| rng.gen_f64() * 2.0 - 1.0).collect() };
+            let (a, b, c0) = (draw(m * p), draw(p * n), draw(m * n));
+            let mut expected = c0.clone();
+            for i in 0..m {
+                for j in 0..n {
+                    let mut acc = expected[i * n + j];
+                    for k in 0..p {
+                        acc += a[i * p + k] * b[k * n + j];
+                    }
+                    expected[i * n + j] = acc;
+                }
+            }
+            let mut c = c0;
+            gemm(&mut c, &a, &b, m, p, n, &mut panel);
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&c), bits(&expected), "shape {m}x{p}x{n}");
+        }
     }
 
     #[test]
