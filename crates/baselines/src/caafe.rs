@@ -166,15 +166,11 @@ fn raw_matrix(df: &DataFrame, features: &[&str]) -> Option<Matrix> {
         .map(|&n| df.column(n).ok().map(|c| c.to_f64()))
         .collect::<Option<_>>()?;
     let n = df.n_rows();
-    let mut rows = Vec::with_capacity(n);
+    let mut data = Vec::with_capacity(n * cols.len());
     for i in 0..n {
-        let mut row = Vec::with_capacity(cols.len());
-        for col in &cols {
-            row.push(col[i].unwrap_or(0.0));
-        }
-        rows.push(row);
+        data.extend(cols.iter().map(|col| col[i].unwrap_or(0.0)));
     }
-    Matrix::from_rows(rows).ok()
+    Matrix::new(data, n, cols.len()).ok()
 }
 
 /// Did the FM's sampled example rows contain a zero in `col`? (5 rows,
