@@ -19,7 +19,6 @@ pub mod cv;
 pub mod error;
 pub mod extra_trees;
 pub mod forest;
-pub mod knn;
 pub mod logistic;
 pub mod matrix;
 pub mod metrics;
