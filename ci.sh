@@ -27,7 +27,7 @@ step_build() {
 
 step_test() {
   echo "==> tier-1: test suite"
-  cargo test -q --offline
+  cargo test -q --offline --workspace
 }
 
 step_fmt() {
@@ -231,7 +231,7 @@ step_threads() {
   local t
   for t in 1 4; do
     echo "==> determinism matrix: SMARTFEAT_THREADS=$t"
-    SMARTFEAT_THREADS="$t" cargo test -q --offline
+    SMARTFEAT_THREADS="$t" cargo test -q --offline --workspace
   done
 }
 
