@@ -214,8 +214,7 @@ impl Classifier for MlpClassifier {
             .map(|w| Dense::new(w[0], w[1], &mut rng))
             .collect();
 
-        let n_layers = self.layers.len();
-        let last = n_layers - 1;
+        let last = self.layers.len() - 1;
         // Per-layer batch buffers, feature-major (units × batch): the
         // pre-activations, activations and deltas.
         let max_batch = self.batch_size.min(n);
@@ -325,7 +324,7 @@ impl Classifier for MlpClassifier {
                 }
                 // Adam update.
                 t += 1;
-                let inv_batch = 1.0 / batch.len() as f64;
+                let inv_batch = 1.0 / nb as f64;
                 let bc1 = 1.0 - beta1.powi(t as i32);
                 let bc2 = 1.0 - beta2.powi(t as i32);
                 for ((layer, gw_l), gb_l) in self.layers.iter_mut().zip(&gw).zip(&gb) {
