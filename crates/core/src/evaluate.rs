@@ -4,7 +4,11 @@
 //! (High-cardinality dummy expansion is rejected earlier, at transform
 //! execution, by the cardinality guard.)
 
-use smartfeat_frame::{Column, DataFrame};
+use std::borrow::Cow;
+use std::sync::Arc;
+
+use smartfeat_frame::stats::pearson_pairs;
+use smartfeat_frame::{Column, DataFrame, Dictionary, NullBitmap, NumericView};
 
 use crate::report::SkipReason;
 
@@ -43,68 +47,166 @@ pub fn check_new_column_threaded(
     // adds no information (identity transforms, min-max/z-score rescales
     // of a column that is still present) — it only double-counts evidence
     // for models like naive Bayes.
+    let candidate = Candidate::new(col);
     let existing = df.columns();
     let threads = smartfeat_par::resolve_threads(threads);
-    smartfeat_par::par_map_indexed(threads, existing.len(), |i| duplicate_of(col, &existing[i]))
-        .into_iter()
-        .flatten()
-        .next()
+    smartfeat_par::par_map_indexed(threads, existing.len(), |i| {
+        duplicate_of(&candidate, &existing[i])
+    })
+    .into_iter()
+    .flatten()
+    .next()
 }
 
-/// Is `col` an exact or positive-affine duplicate of `existing`?
-fn duplicate_of(col: &Column, existing: &Column) -> Option<SkipReason> {
-    if columns_identical(col, existing) {
-        return Some(SkipReason::Duplicate(existing.name().to_string()));
+/// The candidate as the duplicate scan reads it, prepared once per check
+/// instead of once per existing column.
+struct Candidate<'a> {
+    col: &'a Column,
+    /// Numeric storage as one dense `f64` buffer — borrowed for `Float`
+    /// storage — beside its validity. Null slots are never read.
+    numeric: Option<(Cow<'a, [f64]>, &'a NullBitmap)>,
+}
+
+impl<'a> Candidate<'a> {
+    fn new(col: &'a Column) -> Self {
+        let numeric = col.numeric_view().ok().map(|view| match view {
+            NumericView::Float { values, validity } => (Cow::Borrowed(values), validity),
+            NumericView::Int { values, validity } => (dense(values), validity),
+            NumericView::Bool { values, validity } => (dense(values), validity),
+        });
+        Candidate { col, numeric }
     }
-    // Positive-affine rescales of a surviving column (min-max / z-score
-    // copies) only double-count evidence; r = +1 with ≥ 3 overlapping
-    // points identifies them. Negative-affine derivations (e.g. the
-    // paper's manufacturing year = 2024 − car age) re-express the
-    // quantity on a meaningful scale and are kept, as the paper does.
-    if existing.is_numeric() && col.is_numeric() {
-        let a = col.to_f64();
-        let b = existing.to_f64();
-        let complete = a
+}
+
+fn dense<T: AsF64>(values: &[T]) -> Cow<'static, [f64]> {
+    Cow::Owned(values.iter().map(|&v| v.as_f64()).collect())
+}
+
+/// A numeric storage cell read as `f64`, coerced the way
+/// [`Column::to_f64`] coerces it.
+trait AsF64: Copy {
+    fn as_f64(self) -> f64;
+}
+
+impl AsF64 for f64 {
+    fn as_f64(self) -> f64 {
+        self
+    }
+}
+
+impl AsF64 for i64 {
+    fn as_f64(self) -> f64 {
+        self as f64
+    }
+}
+
+impl AsF64 for bool {
+    fn as_f64(self) -> f64 {
+        if self {
+            1.0
+        } else {
+            0.0
+        }
+    }
+}
+
+/// Is the candidate an exact or positive-affine duplicate of `existing`?
+fn duplicate_of(cand: &Candidate<'_>, existing: &Column) -> Option<SkipReason> {
+    let duplicate = match (&cand.numeric, existing.numeric_view()) {
+        (Some((xs, xv)), Ok(view)) => match view {
+            NumericView::Float { values, validity } => numeric_duplicate(xs, xv, values, validity),
+            NumericView::Int { values, validity } => numeric_duplicate(xs, xv, values, validity),
+            NumericView::Bool { values, validity } => numeric_duplicate(xs, xv, values, validity),
+        },
+        // Every other pair compares cells as rendered text; two `Str`
+        // columns do so through their books without rendering.
+        _ => match (cand.col.dict_parts(), existing.dict_parts()) {
+            (Some(a), Some(b)) => dict_identical(a, b),
+            _ => rendered_identical(cand.col, existing),
+        },
+    };
+    duplicate.then(|| SkipReason::Duplicate(existing.name().to_string()))
+}
+
+/// Numeric pair: an exact duplicate, or `r > 0.9999`.
+///
+/// Positive-affine rescales of a surviving column (min-max / z-score
+/// copies) only double-count evidence; r = +1 with ≥ 3 overlapping
+/// points identifies them. Negative-affine derivations (e.g. the
+/// paper's manufacturing year = 2024 − car age) re-express the
+/// quantity on a meaningful scale and are kept, as the paper does.
+fn numeric_duplicate<T: AsF64>(xs: &[f64], xv: &NullBitmap, ys: &[T], yv: &NullBitmap) -> bool {
+    numeric_identical(xs, xv, ys, yv)
+        || complete_pearson(xs, xv, ys, yv).is_some_and(|r| r > 0.9999)
+}
+
+/// Value-level equality: nulls align and present values are equal as
+/// `f64`, so `Int`-vs-`Float` storage of the same values matches. Both
+/// buffers are read in place; the scan stops at the first differing row.
+fn numeric_identical<T: AsF64>(xs: &[f64], xv: &NullBitmap, ys: &[T], yv: &NullBitmap) -> bool {
+    xv == yv
+        && if xv.all_are_valid() {
+            xs.iter().zip(ys).all(|(&x, &y)| x == y.as_f64())
+        } else {
+            xs.iter()
+                .zip(ys)
+                .zip(xv.iter())
+                .all(|((&x, &y), ok)| !ok || x == y.as_f64())
+        }
+}
+
+/// Pearson `r` over the rows where both sides are present, or `None`
+/// below 3 such rows. When neither side has a null the passes run over
+/// the raw slices; otherwise they skip incomplete rows. Either way
+/// `pearson_pairs` sees the complete pairs in row order — the sequence
+/// `stats::pearson` sees over the materialized columns — so `r` is
+/// bit-identical to it.
+fn complete_pearson<T: AsF64>(
+    xs: &[f64],
+    xv: &NullBitmap,
+    ys: &[T],
+    yv: &NullBitmap,
+) -> Option<f64> {
+    if xv.count_valid_and(yv) < 3 {
+        return None;
+    }
+    if xv.all_are_valid() && yv.all_are_valid() {
+        pearson_pairs(|| xs.iter().zip(ys).map(|(&x, &y)| (x, y.as_f64())))
+    } else {
+        pearson_pairs(|| {
+            xs.iter()
+                .zip(ys)
+                .zip(xv.iter().zip(yv.iter()))
+                .filter(|&(_, (x_ok, y_ok))| x_ok && y_ok)
+                .map(|((&x, &y), _)| (x, y.as_f64()))
+        })
+    }
+}
+
+/// A `Str` column's borrowed storage: `(codes, validity, book)`.
+type DictParts<'a> = (&'a [u32], &'a NullBitmap, &'a Arc<Dictionary>);
+
+/// Two `Str` columns hold the same cells: nulls align and present codes
+/// name equal strings, compared as `&str` across the two books.
+fn dict_identical((ca, va, da): DictParts<'_>, (cb, vb, db): DictParts<'_>) -> bool {
+    va == vb
+        && ca
             .iter()
-            .zip(&b)
-            .filter(|(x, y)| x.is_some() && y.is_some())
-            .count();
-        if complete >= 3 {
-            if let Some(r) = smartfeat_frame::stats::pearson(&a, &b) {
-                if r > 0.9999 {
-                    return Some(SkipReason::Duplicate(existing.name().to_string()));
-                }
-            }
-        }
-    }
-    None
+            .zip(cb)
+            .zip(va.iter())
+            .all(|((&a, &b), ok)| !ok || da.get(a) == db.get(b))
 }
 
-/// Value-level equality of two columns (nulls align, values render equal).
-fn columns_identical(a: &Column, b: &Column) -> bool {
-    if a.len() != b.len() {
-        return false;
-    }
-    for i in 0..a.len() {
-        match (a.is_null(i), b.is_null(i)) {
-            (true, true) => continue,
-            (false, false) => {
-                // Compare numerically when both are numeric to catch
-                // Int-vs-Float storage of the same values.
-                let av = a.get(i);
-                let bv = b.get(i);
-                let equal = match (av.as_f64(), bv.as_f64()) {
-                    (Some(x), Some(y)) => x == y,
-                    _ => av.render() == bv.render(),
-                };
-                if !equal {
-                    return false;
-                }
-            }
-            _ => return false,
-        }
-    }
-    true
+/// Value-level equality of a numeric and a `Str` column: nulls align and
+/// present cells render equal, so `"1"`, `"2"`, … duplicates the `Int`
+/// column 1, 2, …. The scan stops at the first differing row.
+fn rendered_identical(a: &Column, b: &Column) -> bool {
+    a.len() == b.len()
+        && (0..a.len()).all(|i| match (a.is_null(i), b.is_null(i)) {
+            (true, true) => true,
+            (false, false) => a.get(i).render() == b.get(i).render(),
+            _ => false,
+        })
 }
 
 #[cfg(test)]
@@ -219,5 +321,64 @@ mod tests {
             check_new_column(&c, &base(), 0.5),
             Some(SkipReason::HighNull(_))
         ));
+    }
+
+    /// `r` from the in-place passes, for a candidate prepared the way the
+    /// scan prepares it.
+    fn in_place_r(cand: &Column, existing: &Column) -> Option<f64> {
+        let prepared = Candidate::new(cand);
+        let (xs, xv) = prepared.numeric.as_ref()?;
+        match existing.numeric_view().ok()? {
+            NumericView::Float { values, validity } => complete_pearson(xs, xv, values, validity),
+            NumericView::Int { values, validity } => complete_pearson(xs, xv, values, validity),
+            NumericView::Bool { values, validity } => complete_pearson(xs, xv, values, validity),
+        }
+    }
+
+    #[test]
+    fn in_place_r_is_bit_identical_to_materialized_pearson() {
+        use smartfeat_rng::{check, Rng};
+        fn column(rng: &mut Rng, name: &str, n: usize) -> Column {
+            let nulls = [0.0, 0.3][rng.gen_range(0..2usize)];
+            match rng.gen_range(0..3u32) {
+                0 => Column::from_floats(
+                    name,
+                    (0..n)
+                        .map(|_| (!rng.gen_bool(nulls)).then(|| rng.gen_range(-1e6..1e6)))
+                        .collect(),
+                ),
+                1 => Column::from_ints(
+                    name,
+                    (0..n)
+                        .map(|_| (!rng.gen_bool(nulls)).then(|| rng.gen_range(-1000i64..1000)))
+                        .collect(),
+                ),
+                _ => Column::from_bools(
+                    name,
+                    (0..n)
+                        .map(|_| (!rng.gen_bool(nulls)).then(|| rng.gen_bool(0.5)))
+                        .collect(),
+                ),
+            }
+        }
+        check::cases(200, |rng| {
+            let n = rng.gen_range(0..300usize);
+            let a = column(rng, "a", n);
+            let b = column(rng, "b", n);
+            let (fa, fb) = (a.to_f64(), b.to_f64());
+            let complete = fa
+                .iter()
+                .zip(&fb)
+                .filter(|(x, y)| x.is_some() && y.is_some());
+            let expected = if complete.count() >= 3 {
+                smartfeat_frame::stats::pearson(&fa, &fb)
+            } else {
+                None
+            };
+            assert_eq!(
+                in_place_r(&a, &b).map(f64::to_bits),
+                expected.map(f64::to_bits)
+            );
+        });
     }
 }

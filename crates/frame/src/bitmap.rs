@@ -95,6 +95,16 @@ impl NullBitmap {
         self.words.iter().map(|w| w.count_ones() as usize).sum()
     }
 
+    /// Count of rows valid in both bitmaps — a popcount over the ANDed
+    /// words. Rows past the shorter bitmap's end count as null.
+    pub fn count_valid_and(&self, other: &NullBitmap) -> usize {
+        self.words
+            .iter()
+            .zip(&other.words)
+            .map(|(a, b)| (a & b).count_ones() as usize)
+            .sum()
+    }
+
     /// Count of null rows.
     pub fn count_null(&self) -> usize {
         self.len - self.count_valid()
@@ -275,6 +285,11 @@ mod tests {
         let by_iter = bm.iter().filter(|&v| v).count();
         assert_eq!(bm.count_valid(), by_iter);
         assert_eq!(bm.count_null(), 200 - by_iter);
+        // A shorter partner: rows past its end count as null.
+        let other = NullBitmap::from_flags((0..130).map(|i| i % 2 == 0));
+        let both = bm.iter().zip(other.iter()).filter(|&(a, b)| a && b).count();
+        assert_eq!(bm.count_valid_and(&other), both);
+        assert_eq!(other.count_valid_and(&bm), both);
     }
 
     #[test]

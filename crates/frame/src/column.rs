@@ -594,22 +594,45 @@ impl Column {
         out
     }
 
-    /// Number of distinct non-null values.
+    /// Number of distinct non-null values — `value_counts().len()`
+    /// without rendering a key per row.
+    ///
+    /// Numeric columns count distinct bit patterns of the present cells,
+    /// which equals the number of distinct rendered keys because
+    /// rendering is injective on stored cells: ints and bools print
+    /// exactly, integral floats below 1e15 print as `{:.1}` (exact) and
+    /// every other float as its shortest round-trip form, `-0.0` prints
+    /// as `"-0.0"`, and `NaN` (normalized to null on insertion) would
+    /// render as `""`, so all of them share one key.
     pub fn cardinality(&self) -> usize {
-        if let Some((codes, validity, dict)) = self.dict_parts() {
-            // A take()-derived column shares a larger parent book, so count
-            // codes actually present, not the book size.
-            let mut seen = vec![false; dict.len()];
-            let mut distinct = 0;
-            for (i, &c) in codes.iter().enumerate() {
-                if validity.is_valid(i) && !seen[c as usize] {
-                    seen[c as usize] = true;
-                    distinct += 1;
+        match &self.data {
+            ColumnData::Dict {
+                codes,
+                validity,
+                dict,
+            } => {
+                // A take()-derived column shares a larger parent book, so
+                // count codes actually present, not the book size.
+                let mut seen = vec![false; dict.len()];
+                let mut distinct = 0;
+                for (i, &c) in codes.iter().enumerate() {
+                    if validity.is_valid(i) && !seen[c as usize] {
+                        seen[c as usize] = true;
+                        distinct += 1;
+                    }
                 }
+                distinct
             }
-            return distinct;
+            ColumnData::Int { values, validity } => distinct_keys(values, validity, |v| v as u64),
+            ColumnData::Bool { values, validity } => distinct_keys(values, validity, u64::from),
+            ColumnData::Float { values, validity } => distinct_keys(values, validity, |v| {
+                if v.is_nan() {
+                    f64::NAN.to_bits()
+                } else {
+                    v.to_bits()
+                }
+            }),
         }
-        self.value_counts().len()
     }
 
     /// True if all non-null values are identical (or the column is all-null).
@@ -665,6 +688,24 @@ impl Column {
     pub fn iter(&self) -> impl Iterator<Item = Value> + '_ {
         (0..self.len()).map(move |i| self.get(i))
     }
+}
+
+/// Distinct `key`s over the present values: one `u64` per present row,
+/// sorted and deduplicated.
+fn distinct_keys<T: Copy>(values: &[T], validity: &NullBitmap, key: impl Fn(T) -> u64) -> usize {
+    let mut keys: Vec<u64> = if validity.all_are_valid() {
+        values.iter().map(|&v| key(v)).collect()
+    } else {
+        values
+            .iter()
+            .zip(validity.iter())
+            .filter(|&(_, ok)| ok)
+            .map(|(&v, _)| key(v))
+            .collect()
+    };
+    keys.sort_unstable();
+    keys.dedup();
+    keys.len()
 }
 
 /// All present values equal? All-valid columns scan the raw slice

@@ -43,21 +43,32 @@ pub fn summarize(values: &[Option<f64>]) -> Option<Summary> {
 /// Returns `None` when fewer than two complete pairs exist or either side
 /// has zero variance.
 pub fn pearson(a: &[Option<f64>], b: &[Option<f64>]) -> Option<f64> {
-    let pairs: Vec<(f64, f64)> = a
-        .iter()
-        .zip(b)
-        .filter_map(|(x, y)| Some(((*x)?, (*y)?)))
-        .collect();
-    if pairs.len() < 2 {
+    pearson_pairs(|| a.iter().zip(b).filter_map(|(x, y)| Some(((*x)?, (*y)?))))
+}
+
+/// [`pearson`] over the pairs `pairs()` yields, without collecting them.
+/// `pairs` is called twice and must yield the same pairs in the same
+/// order both times. The means are plain row-order sums (starting, like
+/// `Iterator::sum`, from `-0.0`) and the deviation sums run in row order
+/// too, so any two pair sources yielding the same sequence get a
+/// bit-identical `r`.
+pub fn pearson_pairs<I>(pairs: impl Fn() -> I) -> Option<f64>
+where
+    I: Iterator<Item = (f64, f64)>,
+{
+    let (count, sx, sy) = pairs().fold((0usize, -0.0, -0.0), |(c, sx, sy), (x, y)| {
+        (c + 1, sx + x, sy + y)
+    });
+    if count < 2 {
         return None;
     }
-    let n = pairs.len() as f64;
-    let mx = pairs.iter().map(|p| p.0).sum::<f64>() / n;
-    let my = pairs.iter().map(|p| p.1).sum::<f64>() / n;
+    let n = count as f64;
+    let mx = sx / n;
+    let my = sy / n;
     let mut sxy = 0.0;
     let mut sxx = 0.0;
     let mut syy = 0.0;
-    for (x, y) in &pairs {
+    for (x, y) in pairs() {
         sxy += (x - mx) * (y - my);
         sxx += (x - mx).powi(2);
         syy += (y - my).powi(2);
