@@ -176,24 +176,26 @@ fn run_benchmark(label: &str, sample_size: usize, mut f: impl FnMut(&mut Bencher
         iters *= 2;
     }
 
-    let mut per_iter: Vec<Duration> = (0..sample_size.max(1))
+    // Order statistics run over whole-sample totals, which carry full
+    // nanosecond precision; only the chosen ones are divided down.
+    let mut totals: Vec<Duration> = (0..sample_size.max(1))
         .map(|_| {
             let mut b = Bencher {
                 iters,
                 elapsed: Duration::ZERO,
             };
             f(&mut b);
-            b.elapsed / iters.max(1) as u32
+            b.elapsed
         })
         .collect();
-    per_iter.sort_unstable();
+    totals.sort_unstable();
 
     let stats = BenchStats {
         label: label.to_string(),
-        median: median_of_sorted(&per_iter),
-        min: per_iter[0],
-        max: per_iter[per_iter.len() - 1],
-        samples: per_iter.len(),
+        median: per_iteration(median_of_sorted(&totals), iters),
+        min: per_iteration(totals[0], iters),
+        max: per_iteration(totals[totals.len() - 1], iters),
+        samples: totals.len(),
         iters_per_sample: iters,
     };
     println!(
@@ -211,6 +213,15 @@ fn run_benchmark(label: &str, sample_size: usize, mut f: impl FnMut(&mut Bencher
         append_json_line(&path, &stats);
     }
     stats
+}
+
+/// One iteration's share of a sample's `total`, rounded up to the next
+/// whole nanosecond: a body faster than 1 ns reports 1 ns, never zero.
+/// Truncating (`Duration / u32`) would floor every sub-nanosecond body
+/// to 0, and the `as u32` cast would wrap a batch above `u32::MAX`.
+fn per_iteration(total: Duration, iters: u64) -> Duration {
+    let ns = total.as_nanos().div_ceil(u128::from(iters.max(1)));
+    Duration::from_nanos(u64::try_from(ns).unwrap_or(u64::MAX))
 }
 
 /// Median of an already-sorted, non-empty sample vector. Odd counts take
@@ -321,6 +332,16 @@ mod tests {
         assert_eq!(median_of_sorted(&[ms(2), ms(4)]), ms(3));
         // Single sample: that sample.
         assert_eq!(median_of_sorted(&[ms(7)]), ms(7));
+    }
+
+    #[test]
+    fn per_iteration_rounds_up_instead_of_truncating() {
+        let ns = Duration::from_nanos;
+        assert_eq!(per_iteration(ns(300), 1_000), ns(1));
+        assert_eq!(per_iteration(ns(3_000), 1_000), ns(3));
+        assert_eq!(per_iteration(ns(3_001), 1_000), ns(4));
+        assert_eq!(per_iteration(ns(5), 0), ns(5));
+        assert_eq!(per_iteration(Duration::ZERO, 8), Duration::ZERO);
     }
 
     #[test]
