@@ -36,8 +36,8 @@ step_fmt() {
 }
 
 step_clippy() {
-  echo "==> lint: clippy (warnings are errors)"
-  cargo clippy --all-targets --offline -- -D warnings
+  echo "==> lint: clippy over the whole workspace (warnings are errors)"
+  cargo clippy --workspace --all-targets --offline -- -D warnings
 }
 
 step_sfcheck() {

@@ -335,16 +335,15 @@ impl Cache {
             if dirty.contains(&idx) {
                 continue;
             }
-            match prior_global.get(&file.rel_path) {
-                Some(list) => match findings_from_json(list) {
+            if let Some(list) = prior_global.get(&file.rel_path) {
+                match findings_from_json(list) {
                     Some(fs) => {
                         if !fs.is_empty() {
                             cached.insert(idx, fs);
                         }
                     }
                     None => return GlobalPlan::full(),
-                },
-                None => {}
+                }
             }
         }
         GlobalPlan {
@@ -525,7 +524,7 @@ fn lock_relevant(text: &str) -> bool {
 fn file_components(ws: &Workspace, cg: &CallGraph) -> Vec<usize> {
     let n = ws.files.len();
     let mut parent: Vec<usize> = (0..n).collect();
-    fn find(parent: &mut Vec<usize>, mut x: usize) -> usize {
+    fn find(parent: &mut [usize], mut x: usize) -> usize {
         while parent[x] != x {
             parent[x] = parent[parent[x]];
             x = parent[x];
